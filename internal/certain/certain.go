@@ -396,9 +396,15 @@ func (sem Semantics) String() string {
 
 // ByDefinition computes the chosen semantics directly from its definition,
 // enumerating all CWA-solutions. Exponential; intended for cross-checking
-// the characterisations on small inputs (experiment E11).
+// the characterisations on small inputs (experiment E11). When
+// opt.Enum.ChaseOptions is unset, the enumeration runs under opt.Chase, so
+// the caller's context and step budget bound it too.
 func ByDefinition(s *dependency.Setting, q query.Evaluable, src *instance.Instance, sem Semantics, opt Options) (*query.TupleSet, error) {
-	sols, err := cwa.Enumerate(s, src, opt.Enum)
+	enum := opt.Enum
+	if enum.ChaseOptions == (chase.Options{}) {
+		enum.ChaseOptions = opt.Chase
+	}
+	sols, err := cwa.Enumerate(s, src, enum)
 	if err != nil {
 		return nil, err
 	}

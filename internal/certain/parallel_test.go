@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"repro/internal/chase"
+	"repro/internal/genwl"
 	"repro/internal/instance"
 	"repro/internal/metrics"
 )
@@ -122,5 +124,28 @@ func TestForEachRepCanceled(t *testing.T) {
 		if _, err := Box(s, q, tgt, opt); !errors.Is(err, chase.ErrCanceled) {
 			t.Fatalf("workers=%d: Box must propagate cancellation, got %v", workers, err)
 		}
+	}
+}
+
+// TestByDefinitionHonoursDeadline: certain⊓ outside Proposition 5.4's
+// classes falls back to enumerating every CWA-solution (ByDefinition). With
+// no enumeration-specific options the walk runs under the caller's chase
+// options, so their deadline cancels it promptly instead of the walk
+// running on until its state bound.
+func TestByDefinitionHonoursDeadline(t *testing.T) {
+	s := genwl.Example53()
+	src := genwl.Example53Source(4)
+	q := mustUCQ(t, "q(x) :- F(x,y,z).")
+	const deadline = 200 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	start := time.Now()
+	_, err := Answers(s, q, src, CertainCap, Options{Chase: chase.Options{Ctx: ctx}})
+	elapsed := time.Since(start)
+	if !errors.Is(err, chase.ErrCanceled) {
+		t.Fatalf("want an error wrapping ErrCanceled, got %v", err)
+	}
+	if elapsed > 10*deadline {
+		t.Fatalf("canceled after %v, want within a small multiple of %v", elapsed, deadline)
 	}
 }

@@ -1,12 +1,10 @@
 package chase
 
 import (
-	"fmt"
 	"strings"
 
 	"repro/internal/dependency"
 	"repro/internal/instance"
-	"repro/internal/metrics"
 	"repro/internal/query"
 )
 
@@ -121,11 +119,12 @@ type AlphaResult struct {
 	Successful bool
 }
 
-// Alpha runs an α-chase of the source instance with the setting's
+// AlphaChase runs an α-chase of the source instance with the setting's
 // dependencies (Definition 4.1): a tgd d is α-applied with (ū, v̄) when its
 // body holds and the head instantiated with the specific values ᾱ(d, ū, v̄)
 // is not yet present — not when no witness exists at all (Remark 4.3
-// explains why). Egd violations are resolved as in the standard chase.
+// explains why). Egd violations are resolved as in the standard chase: it
+// is the chase loop under the α firing policy.
 //
 // The outcome is one of
 //   - a successful chase (nil error): finite, result satisfies Σ, no tgd
@@ -136,54 +135,11 @@ type AlphaResult struct {
 //     genuinely infinite α-chase admits no successful sibling, so a generous
 //     budget makes this a reliable non-termination signal.
 func AlphaChase(s *dependency.Setting, src *instance.Instance, a Alpha, opt Options) (*AlphaResult, error) {
-	if src.HasNulls() {
-		return nil, fmt.Errorf("chase: source instance must be null-free")
+	r, err := chaseWith(s, src, firing{alpha: a}, nil, &stCache{}, opt)
+	if err != nil {
+		return nil, err
 	}
-	cur := src.Clone()
-	res := &AlphaResult{}
-	budget := opt.maxSteps()
-	stc := &stCache{}
-
-	for {
-		if err := opt.err(); err != nil {
-			return nil, err
-		}
-		if res.Steps >= budget {
-			return nil, ErrBudgetExceeded
-		}
-		if applied, err := standardEgdPass(s, cur, &res.Result, opt); err != nil {
-			return nil, err
-		} else if applied {
-			continue
-		}
-		if applied := alphaTgdPass(s, cur, a, &res.Result, opt, stc); applied {
-			continue
-		}
-		break
-	}
-	res.Instance = cur
-	res.Target = cur.Reduct(s.Target)
-	res.Successful = true
-	return res, nil
-}
-
-// alphaApplicable reports whether d can be α-applied with the binding:
-// the head under ᾱ(d, ū, v̄) is not fully present. Binding-based slow path,
-// used only for general FO bodies (s-t tgds).
-func alphaApplicable(d *dependency.TGD, cur *instance.Instance, a Alpha, env query.Binding) ([]instance.Atom, bool) {
-	full := env.Clone()
-	for z, v := range alphaTuple(a, d, env) {
-		full[z] = v
-	}
-	atoms := headAtomsUnder(d, full)
-	missing := false
-	for _, at := range atoms {
-		if !cur.Has(at) {
-			missing = true
-			break
-		}
-	}
-	return atoms, missing
+	return &AlphaResult{Result: *r.result(), Successful: true}, nil
 }
 
 // alphaValuesSlots computes ᾱ(d, ū, v̄) for a body slot environment, in
@@ -222,99 +178,6 @@ func alphaValuesSlots(a Alpha, d *dependency.TGD, env []instance.Value, out []in
 	return out
 }
 
-// alphaTgdPass fires every α-applicable tgd binding once. Conjunctive bodies
-// run on the slot path: body environments come from the compiled body plan
-// (s-t tgds from the stCache — their σ-reduct matches never change during a
-// run), α-values fill the existential slots directly, and the applicability
-// test is a template presence check with no atom materialization. Only
-// general FO bodies (s-t tgds) still go through Bindings.
-func alphaTgdPass(s *dependency.Setting, cur *instance.Instance, a Alpha, res *Result, opt Options, stc *stCache) bool {
-	budget := opt.maxSteps()
-	fired := false
-	var vals, full []instance.Value
-	for _, d := range s.AllTGDs() {
-		if d.BodyAtoms == nil {
-			var pending []query.Binding
-			for _, env := range stc.foEnvs(s, d, cur) {
-				if _, applicable := alphaApplicable(d, cur, a, env); applicable {
-					pending = append(pending, env)
-				}
-			}
-			for _, env := range pending {
-				if res.Steps >= budget || opt.err() != nil {
-					return true
-				}
-				atoms, applicable := alphaApplicable(d, cur, a, env)
-				if !applicable {
-					continue
-				}
-				for _, at := range atoms {
-					cur.Add(at)
-				}
-				res.Steps++
-				metrics.ChaseSteps.Inc()
-				fired = true
-				if opt.Trace {
-					res.Trace = append(res.Trace, Step{Dep: d.Name, Kind: "tgd", Added: atoms})
-				}
-			}
-			continue
-		}
-
-		hp := d.HeadSlotsPlan()
-		if cap(full) < hp.NumSlots() {
-			full = make([]instance.Value, hp.NumSlots())
-		}
-		fullEnv := full[:hp.NumSlots()]
-		tmpl := d.HeadTemplates()
-		zslots := d.ExistsSlots()
-		// applicable leaves fullEnv holding env extended with the α-values,
-		// ready for Instantiate when the caller fires.
-		applicable := func(env []instance.Value) bool {
-			vals = alphaValuesSlots(a, d, env, vals)
-			copy(fullEnv, env)
-			for i, sl := range zslots {
-				fullEnv[sl] = vals[i]
-			}
-			return !tmpl.AllPresent(cur, fullEnv)
-		}
-		var pending [][]instance.Value
-		if isST(s, d) {
-			for _, env := range stc.conjEnvs(s, d, cur) {
-				if applicable(env) {
-					pending = append(pending, env)
-				}
-			}
-		} else {
-			d.BodyPlan().Eval(cur, nil, func(env []instance.Value) bool {
-				if applicable(env) {
-					pending = append(pending, append([]instance.Value(nil), env...))
-				}
-				return true
-			})
-		}
-		for _, env := range pending {
-			if res.Steps >= budget || opt.err() != nil {
-				return true
-			}
-			if !applicable(env) {
-				continue
-			}
-			atoms := tmpl.Instantiate(fullEnv)
-			for _, at := range atoms {
-				cur.Add(at)
-			}
-			res.Steps++
-			metrics.ChaseSteps.Inc()
-			fired = true
-			if opt.Trace {
-				res.Trace = append(res.Trace, Step{Dep: d.Name, Kind: "tgd", Added: atoms})
-			}
-		}
-	}
-	return fired
-}
-
 // Canonical computes a canonical successful α-chase of the source instance,
 // returning its result and the α it settled on.
 //
@@ -333,67 +196,46 @@ func alphaTgdPass(s *dependency.Setting, cur *instance.Instance, a Alpha, res *R
 // tgds, the settled result is CanSol_D(S), the canonical maximal
 // CWA-solution of Proposition 5.4.
 func Canonical(s *dependency.Setting, src *instance.Instance, opt Options) (*AlphaResult, *FreshAlpha, error) {
-	if src.HasNulls() {
-		return nil, nil, fmt.Errorf("chase: source instance must be null-free")
-	}
 	alpha := NewFreshAlpha(instance.NewNullSource(0))
 	budget := opt.maxSteps()
-	totalSteps := 0
+	total := 0
 	// One stCache across all restarts: every restart clones the same source,
 	// and σ-atoms never change during a run (heads are over τ; egds only
 	// replace nulls, which the null-free source atoms never mention), so the
 	// σ-reduct and the s-t body matches are constants of the whole loop.
 	stc := &stCache{}
-
 	for {
-		cur := src.Clone()
-		res := &AlphaResult{}
-		merged := false
-	run:
-		for {
-			if err := opt.err(); err != nil {
-				return nil, nil, err
-			}
-			if totalSteps+res.Steps >= budget {
-				return nil, nil, ErrBudgetExceeded
-			}
-			// Egd pass with α rewriting.
-			for _, d := range s.EGDs {
-				a, b, ok := findEgdViolation(d, cur)
-				if !ok {
-					continue
-				}
-				winner, loser, err := applyEgd(d.Name, cur, a, b)
-				if err != nil {
-					return nil, nil, err
-				}
-				for k, v := range alpha.Memo {
-					if v == loser {
-						alpha.Memo[k] = winner
-					}
-				}
-				res.Steps++
-				metrics.ChaseSteps.Inc()
-				merged = true
-				if opt.Trace {
-					res.Trace = append(res.Trace, Step{Dep: d.Name, Kind: "egd", Equated: [2]instance.Value{a, b}})
-				}
-				continue run
-			}
-			if alphaTgdPass(s, cur, alpha, &res.Result, opt, stc) {
-				continue
-			}
-			break
+		if total >= budget {
+			return nil, nil, ErrBudgetExceeded
 		}
-		totalSteps += res.Steps
-		if merged {
+		run := opt
+		run.MaxSteps = budget - total
+		r, err := chaseWith(s, src, firing{alpha: alpha}, settleAlpha{alpha}, stc, run)
+		if err != nil {
+			return nil, nil, err
+		}
+		total += r.steps
+		if r.merges > 0 {
 			continue // α changed; replay from the source with the settled α
 		}
-		res.Instance = cur
-		res.Target = cur.Reduct(s.Target)
-		res.Successful = true
-		res.Steps = totalSteps
+		res := &AlphaResult{Result: *r.result(), Successful: true}
+		res.Steps = total
 		return res, alpha, nil
+	}
+}
+
+// settleAlpha is Canonical's observer: when an egd replaces loser by
+// winner, every memoized α-value loser becomes winner, so the rest of the
+// run and the next restart chase with the merged α.
+type settleAlpha struct{ *FreshAlpha }
+
+func (settleAlpha) TGDFired(*dependency.TGD, []instance.Atom, []instance.Atom) {}
+
+func (a settleAlpha) EgdApplied(_ string, winner, loser instance.Value) {
+	for k, v := range a.Memo {
+		if v == loser {
+			a.Memo[k] = winner
+		}
 	}
 }
 

@@ -38,10 +38,16 @@ target-deps:
 	}
 }
 
-func TestStandardBounded(t *testing.T) {
+// The standard chase under the budget TerminationBound derives from the
+// source's active domain reaches a solution.
+func TestTerminationBoundBudgetsStandard(t *testing.T) {
 	s := mustSetting(t, example21)
 	src := mustInstance(t, source21)
-	res, err := StandardBounded(s, src, Options{})
+	bound, ok := TerminationBound(s, len(src.Dom()))
+	if !ok {
+		t.Fatal("Example 2.1 is weakly acyclic: a bound must exist")
+	}
+	res, err := Standard(s, src, Options{MaxSteps: bound})
 	if err != nil {
 		t.Fatal(err)
 	}

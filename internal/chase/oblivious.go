@@ -1,12 +1,8 @@
 package chase
 
 import (
-	"fmt"
-
 	"repro/internal/dependency"
 	"repro/internal/instance"
-	"repro/internal/metrics"
-	"repro/internal/query"
 )
 
 // Oblivious runs the oblivious chase: every trigger — a tgd d together
@@ -25,85 +21,10 @@ import (
 // restriction in Proposition 7.4. The standard chase (Standard) terminates
 // for all weakly acyclic settings.
 func Oblivious(s *dependency.Setting, src *instance.Instance, opt Options) (*Result, error) {
-	if src.HasNulls() {
-		return nil, fmt.Errorf("chase: source instance must be null-free")
+	r, err := chaseWith(s, src, firing{fired: make(map[string]bool)}, nil, &stCache{}, opt)
+	if r == nil {
+		return nil, err
 	}
-	cur := src.Clone()
-	nulls := instance.NewNullSource(0)
-	res := &Result{}
-	budget := opt.maxSteps()
-	fired := make(map[string]bool)
-
-	for {
-		if err := opt.err(); err != nil {
-			res.Instance = cur
-			res.Target = cur.Reduct(s.Target)
-			return res, err
-		}
-		if res.Steps >= budget {
-			res.Instance = cur
-			res.Target = cur.Reduct(s.Target)
-			return res, ErrBudgetExceeded
-		}
-		if applied, err := standardEgdPass(s, cur, res, opt); err != nil {
-			return nil, err
-		} else if applied {
-			continue
-		}
-		applied := false
-		for _, d := range s.AllTGDs() {
-			bodyInst := tgdBodyInstance(s, d, cur)
-			var pending []query.Binding
-			bodyBindings(d, bodyInst, func(env query.Binding) bool {
-				if !fired[obliviousTriggerKey(d, env)] {
-					pending = append(pending, env.Clone())
-				}
-				return true
-			})
-			for _, env := range pending {
-				if res.Steps >= budget || opt.err() != nil {
-					break
-				}
-				key := obliviousTriggerKey(d, env)
-				if fired[key] {
-					continue
-				}
-				fired[key] = true
-				for _, z := range d.Exists {
-					env[z] = nulls.Fresh()
-				}
-				added := headAtomsUnder(d, env)
-				for _, a := range added {
-					cur.Add(a)
-				}
-				res.Steps++
-				metrics.ChaseSteps.Inc()
-				applied = true
-				if opt.Trace {
-					res.Trace = append(res.Trace, Step{Dep: d.Name, Kind: "tgd", Added: added})
-				}
-			}
-		}
-		if !applied {
-			// A cancellation arriving mid-pass can leave triggers unfired
-			// without marking the pass as applied; re-check before treating
-			// the state as a fixpoint.
-			if err := opt.err(); err != nil {
-				res.Instance = cur
-				res.Target = cur.Reduct(s.Target)
-				return res, err
-			}
-			break
-		}
-	}
-	res.Instance = cur
-	res.Target = cur.Reduct(s.Target)
-	return res, nil
-}
-
-// obliviousTriggerKey identifies a trigger by dependency and full frontier
-// assignment.
-func obliviousTriggerKey(d *dependency.TGD, env query.Binding) string {
-	j := JustificationOf(d, env, "")
-	return j.Key()
+	// Budget and cancellation expose the partial result, as Standard does.
+	return r.result(), err
 }

@@ -37,14 +37,17 @@ type Observer interface {
 // after the source instance changes: Extend continues the chase after
 // source insertions through a semi-naive delta seeded only with the new
 // tuples, RemoveAtoms retracts atoms (source or derived), and ReSaturate
-// re-runs full passes to a fixpoint. Standard is a run-once wrapper over
-// this type; both produce identical chase sequences for identical inputs.
+// re-runs full passes to a fixpoint. Its run loop is the only chase loop
+// in the package: Standard is a run-once wrapper over it and produces an
+// identical chase sequence, and AlphaChase, Canonical and Oblivious run
+// the same loop under another firing policy (firing.go).
 //
 // A Resumable is not safe for concurrent use.
 type Resumable struct {
 	s     *dependency.Setting
 	cur   *instance.Instance
 	nulls *instance.NullSource
+	fire  firing
 	obs   Observer
 
 	steps  int
@@ -65,6 +68,13 @@ type Resumable struct {
 // budget or cancellation error returns the partial state alongside the
 // error, and the caller may still Extend/ReSaturate it later.
 func NewResumable(s *dependency.Setting, src *instance.Instance, opt Options, obs Observer) (*Resumable, error) {
+	return chaseWith(s, src, firing{}, obs, &stCache{}, opt)
+}
+
+// chaseWith chases src to a fixpoint under the given firing policy, with
+// NewResumable's error semantics. stc may be shared by runs over the same
+// source (Canonical's restarts).
+func chaseWith(s *dependency.Setting, src *instance.Instance, fire firing, obs Observer, stc *stCache, opt Options) (*Resumable, error) {
 	if src.HasNulls() {
 		return nil, fmt.Errorf("chase: source instance must be null-free")
 	}
@@ -72,13 +82,11 @@ func NewResumable(s *dependency.Setting, src *instance.Instance, opt Options, ob
 		s:       s,
 		cur:     src.Clone(),
 		nulls:   instance.NewNullSource(0),
+		fire:    fire,
 		obs:     obs,
-		stc:     &stCache{},
+		stc:     stc,
 		tracker: &deltaTracker{full: true},
-		stSet:   make(map[*dependency.TGD]bool, len(s.ST)),
-	}
-	for _, d := range s.ST {
-		r.stSet[d] = true
+		stSet:   stSetOf(s),
 	}
 	if err := r.run(opt); err != nil {
 		if IsEgdFailure(err) {
@@ -87,6 +95,25 @@ func NewResumable(s *dependency.Setting, src *instance.Instance, opt Options, ob
 		return r, err
 	}
 	return r, nil
+}
+
+// stSetOf indexes Σst, so the loop can tell s-t tgds from target tgds.
+func stSetOf(s *dependency.Setting) map[*dependency.TGD]bool {
+	set := make(map[*dependency.TGD]bool, len(s.ST))
+	for _, d := range s.ST {
+		set[d] = true
+	}
+	return set
+}
+
+// result snapshots the chase state as a Result.
+func (r *Resumable) result() *Result {
+	return &Result{
+		Instance: r.cur,
+		Target:   r.cur.Reduct(r.s.Target),
+		Steps:    r.steps,
+		Trace:    r.trace,
+	}
 }
 
 // Instance returns the live chase instance over σ ∪ τ. It is owned by the
@@ -121,6 +148,7 @@ func (r *Resumable) Extend(atoms []instance.Atom, opt Options) error {
 		}
 	}
 	var added []instance.Atom
+	from := r.cur.Mark()
 	for _, a := range atoms {
 		if !r.s.Source.Has(a.Rel) {
 			return fmt.Errorf("chase: Extend: %s is not a source relation", a.Rel)
@@ -142,12 +170,13 @@ func (r *Resumable) Extend(atoms []instance.Atom, opt Options) error {
 			r.stc.reduct.Add(a)
 		}
 	}
+	to := r.cur.Mark()
 	for _, d := range r.s.ST {
 		var envs [][]instance.Value
 		// Body atoms of s-t tgds are all source relations, so the delta
 		// join against the full instance equals the join against the
 		// σ-reduct.
-		DeltaBodyEnvsKeyed(d, r.cur, added, func(env []instance.Value, _ string) bool {
+		DeltaBodyEnvsKeyedBetween(d, r.cur, from, to, func(env []instance.Value, _ string) bool {
 			envs = append(envs, append([]instance.Value(nil), env...))
 			return true
 		})
@@ -253,18 +282,18 @@ func (r *Resumable) egdPass(opt Options) (bool, error) {
 	return false, nil
 }
 
-// tgdPass fires all currently violating tgd bindings. Enumeration is
-// semi-naive: on delta passes, only target-tgd matches touching an atom
-// added by the previous pass are considered, plus any s-t matches Extend
-// discovered (s-t tgd bodies otherwise live on the never-growing σ-reduct
-// and cannot gain matches). Every candidate binding is re-checked before
-// firing, so duplicate candidates are harmless.
+// tgdPass fires every trigger the firing policy finds applicable.
+// Enumeration is semi-naive: on delta passes, only target-tgd matches
+// touching an atom added by the previous pass are considered, plus any s-t
+// matches Extend discovered (s-t tgd bodies otherwise live on the
+// never-growing σ-reduct and cannot gain matches). Every candidate is
+// re-checked before firing, so duplicate candidates are harmless.
 //
 // Conjunctive bodies run entirely on the slot-based compiled-plan path:
 // body environments are []instance.Value keyed by the body plan's slots,
-// head checks seed HeadSlotsPlan directly, and firing instantiates the
-// compiled head templates. Only general FO bodies (some s-t tgds) still go
-// through Bindings.
+// applicability checks seed HeadSlotsPlan or the head templates directly,
+// and firing instantiates the compiled head templates. Only general FO
+// bodies (some s-t tgds) still go through Bindings.
 func (r *Resumable) tgdPass(opt Options, start int) bool {
 	budget := opt.maxSteps()
 	fired := false
@@ -296,7 +325,7 @@ func (r *Resumable) tgdPass(opt Options, start int) bool {
 			// settings, so stDelta is never set here): Binding-based path.
 			var pending []query.Binding
 			for _, env := range r.stc.foEnvs(r.s, d, r.cur) {
-				if !headSatisfied(d, r.cur, env) {
+				if r.fire.applicableBinding(d, r.cur, env) {
 					pending = append(pending, env.Clone())
 				}
 			}
@@ -304,91 +333,84 @@ func (r *Resumable) tgdPass(opt Options, start int) bool {
 				if r.steps-start >= budget || opt.err() != nil {
 					return true // budget/cancel check happens at the top of run
 				}
-				if headSatisfied(d, r.cur, env) {
-					continue
-				}
-				for _, z := range d.Exists {
-					env[z] = r.nulls.Fresh()
-				}
-				added := headAtomsUnder(d, env)
-				var inserted []instance.Atom
-				for _, a := range added {
-					if r.cur.Add(a) && r.obs != nil {
-						inserted = append(inserted, a)
-					}
-				}
-				r.steps++
-				metrics.ChaseSteps.Inc()
-				fired = true
-				if r.obs != nil {
-					r.obs.TGDFired(d, nil, inserted)
-				}
-				if opt.Trace {
-					r.trace = append(r.trace, Step{Dep: d.Name, Kind: "tgd", Added: added})
+				if r.fire.fireBinding(d, r.cur, env, r.nulls) {
+					r.commit(d, headAtomsUnder(d, env), nil, opt)
+					fired = true
 				}
 			}
 			continue
 		}
 
-		// Slot-based path.
+		// Slot-based path. Cached s-t environments are immutable and kept
+		// as they are; the evaluators reuse theirs, so collect copies.
 		var pending [][]instance.Value
-		collect := func(env []instance.Value) bool {
-			if !headSatisfiedSlots(d, r.cur, env) {
+		collect := func(env []instance.Value, key string) bool {
+			if r.fire.applicable(d, r.cur, env, key) {
 				pending = append(pending, append([]instance.Value(nil), env...))
 			}
 			return true
 		}
 		switch {
-		case stDelta != nil:
-			for _, env := range stDelta {
-				collect(env)
-			}
 		case isst:
-			for _, env := range r.stc.conjEnvs(r.s, d, r.cur) {
-				collect(env)
+			envs := stDelta
+			if envs == nil {
+				envs = r.stc.conjEnvs(r.s, d, r.cur)
+			}
+			for _, env := range envs {
+				if r.fire.applicable(d, r.cur, env, "") {
+					pending = append(pending, env)
+				}
 			}
 		case fullScan:
-			d.BodyPlan().Eval(r.cur, nil, collect)
-		default:
-			DeltaBodyEnvsKeyedBetween(d, r.cur, from, to, func(env []instance.Value, _ string) bool {
-				return collect(env)
+			d.BodyPlan().Eval(r.cur, nil, func(env []instance.Value) bool {
+				return collect(env, "")
 			})
+		default:
+			DeltaBodyEnvsKeyedBetween(d, r.cur, from, to, collect)
+		}
+		if len(pending) == 0 {
+			continue
 		}
 
-		hp := d.HeadSlotsPlan()
-		tmpl := d.HeadTemplates()
-		existsSlots := d.ExistsSlots()
+		// One head environment serves the whole batch: the body match is
+		// copied into its prefix, and Instantiate copies what it keeps.
+		head := make([]instance.Value, d.HeadSlotsPlan().NumSlots())
 		for _, benv := range pending {
 			if r.steps-start >= budget || opt.err() != nil {
 				return true // budget/cancel check happens at the top of run
 			}
-			if headSatisfiedSlots(d, r.cur, benv) {
-				continue
-			}
-			full := make([]instance.Value, hp.NumSlots())
-			copy(full, benv)
-			for _, sl := range existsSlots {
-				full[sl] = r.nulls.Fresh()
-			}
-			added := tmpl.Instantiate(full)
-			var inserted []instance.Atom
-			for _, a := range added {
-				if r.cur.Add(a) && r.obs != nil {
-					inserted = append(inserted, a)
-				}
-			}
-			r.steps++
-			metrics.ChaseSteps.Inc()
-			fired = true
-			if r.obs != nil {
-				// The body slot layout is a prefix of the head slot
-				// layout, so the head env instantiates body templates too.
-				r.obs.TGDFired(d, d.BodyTemplates().Instantiate(full), inserted)
-			}
-			if opt.Trace {
-				r.trace = append(r.trace, Step{Dep: d.Name, Kind: "tgd", Added: added})
+			copy(head, benv)
+			if r.fire.fire(d, r.cur, head, r.nulls) {
+				r.commit(d, d.HeadTemplates().Instantiate(head), head, opt)
+				fired = true
 			}
 		}
 	}
 	return fired
+}
+
+// commit inserts the head atoms of one tgd firing and accounts for the
+// step. head is the firing's slot environment, nil for a general FO body
+// (which has no body atom list to report to the observer).
+func (r *Resumable) commit(d *dependency.TGD, added []instance.Atom, head []instance.Value, opt Options) {
+	var inserted []instance.Atom
+	for _, a := range added {
+		if r.cur.Add(a) && r.obs != nil {
+			inserted = append(inserted, a)
+		}
+	}
+	r.steps++
+	metrics.ChaseSteps.Inc()
+	if r.obs != nil {
+		var body []instance.Atom
+		if head != nil {
+			// The body slot layout is a prefix of the head slot layout,
+			// so the head env instantiates body templates too.
+			body = d.BodyTemplates().Instantiate(head)
+		}
+		r.obs.TGDFired(d, body, inserted)
+	}
+	if opt.Trace {
+		r.trace = append(r.trace, Step{Dep: d.Name, Kind: "tgd", Added: added})
+	}
 }

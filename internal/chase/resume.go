@@ -27,7 +27,7 @@ import (
 // state as merged (fall back to re-chase on deletes), which internal/incr's
 // Resume does.
 func ResumeFixpoint(s *dependency.Setting, fixpoint *instance.Instance, steps int, obs Observer) *Resumable {
-	r := &Resumable{
+	return &Resumable{
 		s:       s,
 		cur:     fixpoint,
 		nulls:   instance.NewNullSource(fixpoint.MaxNullLabel() + 1),
@@ -35,10 +35,6 @@ func ResumeFixpoint(s *dependency.Setting, fixpoint *instance.Instance, steps in
 		steps:   steps,
 		stc:     &stCache{},
 		tracker: &deltaTracker{mark: fixpoint.Mark()},
-		stSet:   make(map[*dependency.TGD]bool, len(s.ST)),
+		stSet:   stSetOf(s),
 	}
-	for _, d := range s.ST {
-		r.stSet[d] = true
-	}
-	return r
 }

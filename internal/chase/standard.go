@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/dependency"
 	"repro/internal/instance"
-	"repro/internal/metrics"
 	"repro/internal/query"
 )
 
@@ -82,31 +81,7 @@ func Standard(s *dependency.Setting, src *instance.Instance, opt Options) (*Resu
 	}
 	// On budget/cancel errors the partial result is exposed so callers can
 	// observe how far a non-terminating chase got (experiment E8).
-	return &Result{
-		Instance: r.cur,
-		Target:   r.cur.Reduct(s.Target),
-		Steps:    r.steps,
-		Trace:    r.trace,
-	}, err
-}
-
-func standardEgdPass(s *dependency.Setting, cur *instance.Instance, res *Result, opt Options) (bool, error) {
-	for _, d := range s.EGDs {
-		a, b, ok := findEgdViolation(d, cur)
-		if !ok {
-			continue
-		}
-		if _, _, err := applyEgd(d.Name, cur, a, b); err != nil {
-			return false, err
-		}
-		res.Steps++
-		metrics.ChaseSteps.Inc()
-		if opt.Trace {
-			res.Trace = append(res.Trace, Step{Dep: d.Name, Kind: "egd", Equated: [2]instance.Value{a, b}})
-		}
-		return true, nil
-	}
-	return false, nil
+	return r.result(), err
 }
 
 // stCache holds the per-run constants of a chase: the σ-reduct and the body
@@ -161,16 +136,6 @@ func (c *stCache) foEnvs(s *dependency.Setting, d *dependency.TGD, cur *instance
 	}
 	c.fo[d] = envs
 	return envs
-}
-
-// isST reports whether the tgd belongs to Σst.
-func isST(s *dependency.Setting, d *dependency.TGD) bool {
-	for _, st := range s.ST {
-		if st == d {
-			return true
-		}
-	}
-	return false
 }
 
 // UniversalSolution chases the source instance and returns the target

@@ -414,11 +414,14 @@ func (s *Server) handleExists(w http.ResponseWriter, r *http.Request) {
 	}
 	defer cleanup()
 	s.cached(w, r, resultKey(sc, "exists"), func() (any, error) {
-		exists, err := cwa.Exists(sc.setting, sc.src(), opt)
-		if err != nil {
+		// By Corollary 5.2 CWA-solutions exist iff the standard chase
+		// succeeds, so the scenario's memoized chase decides it; only an
+		// egd failure means "no".
+		_, _, err := sc.chaseFor(opt)
+		if err != nil && !chase.IsEgdFailure(err) {
 			return nil, err
 		}
-		return api.ExistsResponse{Scenario: req.Scenario, Exists: exists}, nil
+		return api.ExistsResponse{Scenario: req.Scenario, Exists: err == nil}, nil
 	})
 }
 

@@ -62,8 +62,8 @@ type scenario struct {
 	// keys move to a per-scenario namespace.
 	initVersion uint64
 
-	// mutMu serializes mutation batches (version check through cache
-	// purge), single-flighting concurrent mutators. During a membership
+	// mutMu serializes mutation batches (version check through memo
+	// reset), single-flighting concurrent mutators. During a membership
 	// transfer window it additionally serializes the handoff capture+push
 	// against mutations, and guards movedTo.
 	mutMu sync.Mutex
@@ -494,8 +494,8 @@ func (r *registry) install(sc *scenario) {
 }
 
 // mutate applies a mutation batch to the scenario: version precondition,
-// source update (incrementally maintained when the engine can), memo reset
-// and stale-result purge, all under the scenario's mutation lock so
+// source update (incrementally maintained when the engine can) and memo
+// reset, all under the scenario's mutation lock so
 // concurrent mutators are single-flighted. baseVersion 0 means
 // unconditional; any other value must match the current version or the
 // batch is rejected with status.Conflict (the caller maps it to HTTP 409).
@@ -547,10 +547,12 @@ func (r *registry) mutate(sc *scenario, muts []instance.Mutation, baseVersion ui
 	}
 	if changed {
 		metrics.ServerMutations.Inc()
-		// Swap in the new source and invalidate the derived memos; the
-		// result cache keys on the version, so entries for the old version
-		// can never be served again — the purge below only reclaims their
-		// space.
+		// Swap in the new source and invalidate the derived memos. The
+		// result cache needs no purge: its keys carry the version, so
+		// entries for the old version can never be served again, and the
+		// LRU reclaims their space. Only a scenario's exit (onEvict, drop)
+		// must purge its mutated namespace, because a later same-name
+		// scenario restarts that version counter.
 		sc.mu.Lock()
 		if sc.engine != nil {
 			sc.source = sc.engine.SourceSnapshot()
@@ -570,11 +572,6 @@ func (r *registry) mutate(sc *scenario, muts []instance.Mutation, baseVersion ui
 			}
 			r.mu.Unlock()
 		}
-		contentPrefix, mutatedPrefix := sc.contentID+"\x00", mutatedNamespace(sc.id)
-		r.results.removeIf(func(key string) bool {
-			return strings.HasPrefix(key, mutatedPrefix) ||
-				(wasPristine && strings.HasPrefix(key, contentPrefix))
-		})
 	}
 	// applyErr here is a chase-level failure (budget, deadline) with the
 	// mutation already applied — the engine is dirty and will recover; the

@@ -8,9 +8,11 @@ package server
 // stale entry could answer for different content.
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/chase"
+	"repro/internal/instance"
 )
 
 const tinySetting = `
@@ -76,5 +78,54 @@ func TestCapacityEvictionPurgesMutatedNamespace(t *testing.T) {
 	// deliberately outlive the scenario, so re-registered content re-hits.
 	if _, ok := r.results.get(contentKey); !ok {
 		t.Fatal("content-keyed result should survive a capacity eviction")
+	}
+}
+
+// Writes leave the result cache alone (keys carry the version, so old
+// entries are unreachable and the LRU reclaims them); the scenario's exit
+// is what purges its mutated namespace, every version of it at once.
+func TestWritesKeepResultsUntilDrop(t *testing.T) {
+	r := newRegistry(4, 64, nil)
+	sc, _, err := r.register("s", tinySetting, `S(a).`, chase.Options{})
+	if err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	otherKey := "othercontent\x00v1\x00core"
+	otherMutKey := mutatedNamespace("t") + "othercontent\x00v3\x00core"
+	r.results.put(otherKey, []byte("keep"))
+	r.results.put(otherMutKey, []byte("keep"))
+
+	var mutKeys []string
+	for _, c := range []string{"b", "c", "d", "e"} {
+		muts := []instance.Mutation{{Insert: true, Atom: instance.NewAtom("S", instance.Const(c))}}
+		if _, err := r.mutate(sc, muts, 0, chase.Options{}); err != nil {
+			t.Fatalf("mutate %s: %v", c, err)
+		}
+		k := resultKey(sc, "core")
+		r.results.put(k, []byte("v"))
+		mutKeys = append(mutKeys, k)
+	}
+	prefix := mutatedNamespace("s")
+	for _, k := range mutKeys {
+		if !strings.HasPrefix(k, prefix) {
+			t.Fatalf("mutated scenario key %q outside its namespace", k)
+		}
+		if _, ok := r.results.get(k); !ok {
+			t.Fatalf("a later write purged %q", k)
+		}
+	}
+
+	if ok, err := r.drop("s", false); err != nil || !ok {
+		t.Fatalf("drop: ok=%v err=%v", ok, err)
+	}
+	for _, k := range r.results.keysMRU() {
+		if strings.HasPrefix(k, prefix) {
+			t.Fatalf("mutated-namespace entry %q survived the DELETE", k)
+		}
+	}
+	for _, k := range []string{otherKey, otherMutKey} {
+		if _, ok := r.results.get(k); !ok {
+			t.Fatalf("unrelated entry %q purged by the DELETE", k)
+		}
 	}
 }

@@ -506,3 +506,65 @@ func TestChaseMemoServedToLaterRequests(t *testing.T) {
 		t.Fatalf("scenario info after chase = %+v, want memoized %d steps", info, first.Steps)
 	}
 }
+
+// TestExistsAnswersFromChaseMemo: /v1/exists decides existence from the
+// scenario's memoized chase (Corollary 5.2), so on a weakly acyclic
+// scenario — chased at registration — it runs no chase step, and an egd
+// failure still answers false.
+func TestExistsAnswersFromChaseMemo(t *testing.T) {
+	_, _, c := newTestServer(t, server.Config{})
+	ctx := context.Background()
+	if info := registerQuickstart(t, c, "qs"); !info.Chased {
+		t.Fatalf("quickstart must be chased at registration: %+v", info)
+	}
+	before := metrics.ChaseSteps.Load()
+	exists, err := c.Exists(ctx, api.EvalRequest{Scenario: "qs"})
+	if err != nil || !exists.Exists {
+		t.Fatalf("exists = %+v, %v; want true", exists, err)
+	}
+	if d := metrics.ChaseSteps.Load() - before; d != 0 {
+		t.Fatalf("/v1/exists ran %d chase steps on a chased scenario", d)
+	}
+
+	if _, err := c.Register(ctx, api.RegisterRequest{
+		Name: "conflict",
+		Setting: `
+source P/2.
+target R/2.
+st:
+  d1: P(x,y) -> R(x,y).
+target-deps:
+  e1: R(x,y) & R(x,z) -> y = z.
+`,
+		Source: `P(a,b). P(a,c).`,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	exists, err = c.Exists(ctx, api.EvalRequest{Scenario: "conflict"})
+	if err != nil || exists.Exists {
+		t.Fatalf("no-solution exists = %+v, %v; want false", exists, err)
+	}
+}
+
+// TestCertainByDefinitionDeadline504: certain⊓ on Example 5.3 is outside
+// Proposition 5.4's classes and falls back to enumerating CWA-solutions;
+// the request's deadline must bound that enumeration.
+func TestCertainByDefinitionDeadline504(t *testing.T) {
+	_, _, c := newTestServer(t, server.Config{})
+	ctx := context.Background()
+	if _, err := c.Register(ctx, api.RegisterRequest{
+		Name:    "ex53",
+		Setting: parser.FormatSetting(genwl.Example53()),
+		Source:  parser.FormatInstance(genwl.Example53Source(4)),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, err := c.Certain(ctx, api.EvalRequest{
+		Scenario: "ex53", Query: "q(x) :- F(x,y,z).", Semantics: "certain-cap", DeadlineMillis: 200,
+	})
+	wantAPIError(t, err, "timeout", 504)
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("deadline_ms 200 answered after %v", elapsed)
+	}
+}
